@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # BENCH_OUT names the JSON file `make bench` writes and `make
 # bench-compare` treats as "current"; override it to regenerate an older
@@ -8,7 +9,7 @@ BENCH_OUT ?= BENCH_PR10.json
 # BENCH_BASE is the committed snapshot bench-compare diffs against.
 BENCH_BASE ?= BENCH_PR9.json
 
-.PHONY: build test race race-concurrent vet lint lint-json lint-schema verify faults bench bench-compare bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
+.PHONY: build test race race-concurrent vet fmt-check anchors lint lint-json lint-schema verify faults bench bench-compare bench-smoke serve-smoke cluster-smoke chaos chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,18 @@ race-concurrent:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any tracked Go file is not gofmt-clean. testdata/
+# trees are skipped: the linter's golden corpora hold deliberately
+# unparseable Go.
+fmt-check:
+	@unformatted=$$(git ls-files '*.go' | grep -v -e '^testdata/' -e '/testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
+
+# anchors re-derives the paper's anchor numbers (cmd/verify) through the
+# simulator and fails on any mismatch.
+anchors:
+	$(GO) run ./cmd/verify
 
 lint:
 	$(GO) run ./cmd/maxwelint ./...
@@ -55,15 +68,15 @@ faults:
 
 # bench regenerates $(BENCH_OUT): every figure/table bench (including
 # the cold/warm memo-cache sweep), the sweep supervisor at Parallelism 1
-# vs 0, the batched Fig7 cell against its per-write reference, the UAA
-# fast path, and the nvmd submit round trip, parsed to JSON (with
+# vs 0, the batched Fig7 cell against its per-write reference, and the
+# nvmd submit round trip, parsed to JSON (with
 # NumCPU/GOMAXPROCS metadata) by cmd/benchjson. A second run repeats the
 # runner sweep at GOMAXPROCS 2 and 4 (the -cpu suffixes become
 # benchjson's "procs" field) to record multi-core scaling; it appends to
 # the same log so one conversion sees both. Separate steps so a bench
 # failure stops make instead of vanishing into a pipe.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|UAAFast|Service|Federated)' -benchmem \
+	$(GO) test -run '^$$' -bench '^Benchmark(Fig|Table|Runner|Service|Federated)' -benchmem \
 		. ./internal/sim/ ./internal/service/ > bench.out
 	$(GO) test -run '^$$' -bench '^BenchmarkRunnerScaling$$' -benchmem -cpu 2,4 . >> bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
@@ -110,4 +123,4 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # verify is the tier-1 gate: everything CI runs, one command.
-verify: build vet test race race-concurrent lint faults bench-smoke chaos-smoke serve-smoke cluster-smoke
+verify: build vet fmt-check test anchors race race-concurrent lint faults bench-smoke chaos-smoke serve-smoke cluster-smoke

@@ -731,16 +731,3 @@ func BenchmarkFigSweepMemoWarm(b *testing.B) {
 		benchMemoSweep(b, cache)
 	}
 }
-
-// BenchmarkUAAFastPath measures the event-driven UAA engine.
-func BenchmarkUAAFastPath(b *testing.B) {
-	s := benchSetup()
-	p := s.Profile()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sch := spare.NewMaxWE(p, spare.DefaultMaxWEOptions())
-		if _, err := sim.RunUAAFast(p, sch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

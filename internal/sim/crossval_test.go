@@ -1,6 +1,5 @@
 // crossval_test.go cross-validates the struct-of-arrays batched engine
-// (batch.go) and the generalized cyclic fast-forward (fastforward.go)
-// against the pre-refactor per-write engine, kept in-test as
+// (batch.go) against the pre-refactor per-write engine, kept in-test as
 // referenceRunDetailed (optim_test.go). The bar is exact Result equality
 // — bit-identical, not approximate — across the full attack × scheme ×
 // leveler matrix, MaxUserWrites truncation edges, cancellation, and
@@ -20,11 +19,9 @@ import (
 	"maxwe/internal/xrand"
 )
 
-// plainAttack hides an attack's BatchAttack/CyclicAttack extensions so a
-// config is forced onto the legacy per-write loops (runDirect/runGeneral)
-// — the second way, besides referenceRunDetailed, to obtain pre-refactor
-// behavior, and the only one that exposes the final device for per-line
-// comparison through the public API.
+// plainAttack hides an attack's BatchAttack extension, so RunDetailed
+// draws its batches through the Next-loop adapter (nextBatcher) — the
+// path every attack without a batched form takes.
 type plainAttack struct{ inner attack.Attack }
 
 func (a plainAttack) Name() string   { return a.inner.Name() }
@@ -108,11 +105,9 @@ func buildCrossval(p *endurance.Profile, ak, sk, lk string, maxWrites int64) Con
 // combination (PCD only unleveled, as validate requires) through the
 // refactored RunDetailed and the pre-refactor reference, demanding exact
 // Result equality. This is a superset of every combination optim_test.go
-// exercises and covers all three new paths: runCyclic (uaa/partial-uaa/
-// repeated/targeted-sweep unleveled), runBatchedDirect (bpa/hotcold/
-// random on capacity-stable schemes), and runBatchedLeveled (every
-// leveled row, including the SwapWL and Identity devirtualizations and
-// the generic interface fallback).
+// exercises and covers every inner loop of runBatched: the unleveled and
+// Identity loop, the SwapWL loop, the generic-leveler loop, and the
+// per-write loop (every PCD row).
 func TestBatchedEngineFullMatrix(t *testing.T) {
 	p := optimProfile()
 	for _, ak := range crossvalAttacks {
@@ -126,7 +121,7 @@ func TestBatchedEngineFullMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				want, err := referenceRunDetailed(buildCrossval(p, ak, sk, lk, 0))
+				want, _, err := referenceRunDetailed(buildCrossval(p, ak, sk, lk, 0))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -138,10 +133,11 @@ func TestBatchedEngineFullMatrix(t *testing.T) {
 	}
 }
 
-// TestCyclicFastForwardCapEdges sweeps MaxUserWrites across period
+// TestCyclicFastForwardCapEdges sweeps MaxUserWrites across sweep-period
 // boundaries, epoch boundaries, and the exact failure write of every
-// cyclic attack × scheme pair: the fast-forward's bulk skip and tail must
-// truncate at precisely the same write as the per-write reference.
+// cyclic (periodic) attack × scheme pair, unleveled: the quiescent
+// epochs and the short final epoch must truncate at precisely the same
+// write as the per-write reference.
 func TestCyclicFastForwardCapEdges(t *testing.T) {
 	p := optimProfile()
 	for _, ak := range []string{"uaa", "partial-uaa", "repeated", "targeted-sweep"} {
@@ -161,7 +157,7 @@ func TestCyclicFastForwardCapEdges(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s cap %d: %v", name, maxW, err)
 				}
-				want, err := referenceRunDetailed(buildCrossval(p, ak, sk, "", maxW))
+				want, _, err := referenceRunDetailed(buildCrossval(p, ak, sk, "", maxW))
 				if err != nil {
 					t.Fatalf("%s cap %d: %v", name, maxW, err)
 				}
@@ -173,20 +169,21 @@ func TestCyclicFastForwardCapEdges(t *testing.T) {
 	}
 }
 
-// TestBatchedDoneSemantics pins the cancellation contract of the batched
-// loops: a Done channel closed before the run stops both engines at the
-// first poll with zero writes served, and an open Done channel must not
-// change the result relative to no channel at all (the polls land on the
-// same 1024-write boundaries as the reference loop's).
+// TestBatchedDoneSemantics pins the cancellation contract of the epoch
+// loop: a Done channel closed before the run stops it at the first poll
+// with zero writes served, and an open Done channel must not change the
+// result relative to no channel at all (the polls land on the same
+// 1024-write boundaries as the reference loop's).
 func TestBatchedDoneSemantics(t *testing.T) {
 	p := optimProfile()
 	closed := make(chan struct{})
 	close(closed)
 	open := make(chan struct{})
 	cases := []struct{ ak, sk, lk string }{
-		{"uaa", "maxwe", ""},      // cyclic attack forced onto the batched path by Done
-		{"bpa", "maxwe", "tlsr"},  // batched leveled
-		{"random", "ps-best", ""}, // batched direct
+		{"uaa", "maxwe", ""},      // unleveled loop
+		{"bpa", "maxwe", "tlsr"},  // SwapWL loop
+		{"random", "ps-best", ""}, // unleveled loop, random stream
+		{"uaa", "pcd", ""},        // per-write loop
 	}
 	for _, tc := range cases {
 		name := tc.ak + "/" + tc.sk + "/" + tc.lk
@@ -216,34 +213,60 @@ func TestBatchedDoneSemantics(t *testing.T) {
 	}
 }
 
-// TestBatchedPerLineStateMatchesPerWrite compares the refactored engine
-// against the legacy loops at per-line granularity: same Result AND the
-// same writes counter and worn flag on every physical line. plainAttack
-// strips the batch/cyclic interfaces so the second run takes the old
-// runDirect/runGeneral path through the public API, which returns its
-// device for inspection.
+// TestBatchedPerLineStateMatchesPerWrite compares the engine against the
+// reference at per-line granularity: same Result AND the same writes
+// counter and worn flag on every physical line. The plain rows feed the
+// engine through the Next-loop adapter; the fault rows run the per-write
+// loop through the fault path.
 func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 	p := optimProfile()
-	cases := []struct{ ak, sk, lk string }{
-		{"uaa", "maxwe", ""}, {"uaa", "pcd", ""}, {"repeated", "none", ""},
-		{"partial-uaa", "ps-random", ""}, {"targeted-sweep", "pcd", ""},
-		{"bpa", "maxwe", "tlsr"}, {"bpa", "ps-worst", "wawl"},
-		{"random", "maxwe", "identity"}, {"hotcold", "maxwe", "start-gap"},
+	cases := []struct {
+		ak, sk, lk string
+		plain      bool
+		faults     bool
+	}{
+		{"uaa", "maxwe", "", false, false}, {"uaa", "pcd", "", false, false},
+		{"repeated", "none", "", false, false}, {"targeted-sweep", "pcd", "", false, false},
+		{"bpa", "maxwe", "tlsr", false, false}, {"random", "maxwe", "identity", false, false},
+		{"hotcold", "pcd", "", false, false},
+		{"partial-uaa", "ps-random", "", true, false}, {"bpa", "ps-worst", "wawl", true, false},
+		{"hotcold", "maxwe", "start-gap", true, false}, {"random", "none", "identity", true, false},
+		{"uaa", "maxwe", "", false, true}, {"bpa", "maxwe", "tlsr", false, true},
+		{"random", "pcd", "", false, true},
 	}
 	for _, tc := range cases {
 		name := tc.ak + "/" + tc.sk + "/" + tc.lk
-		gotRes, gotDev, err := RunDetailed(buildCrossval(p, tc.ak, tc.sk, tc.lk, 0))
+		build := func() Config {
+			cfg := buildCrossval(p, tc.ak, tc.sk, tc.lk, 0)
+			if tc.faults {
+				plan, err := faultinject.NewPlan(faultinject.Config{
+					Seed: 71, TransientProb: 0.02, StuckAtProb: 0.002, MetadataProb: 0.002,
+					MaxTransientRetries: 3,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults = plan
+			}
+			return cfg
+		}
+		cfg := build()
+		if tc.plain {
+			cfg.Attack = plainAttack{inner: cfg.Attack}
+		}
+		gotRes, gotDev, err := RunDetailed(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		legacy := buildCrossval(p, tc.ak, tc.sk, tc.lk, 0)
-		legacy.Attack = plainAttack{inner: legacy.Attack}
-		wantRes, wantDev, err := RunDetailed(legacy)
+		wantRes, wantDev, err := referenceRunDetailed(build())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if gotRes != wantRes {
-			t.Fatalf("%s: refactored %+v != legacy %+v", name, gotRes, wantRes)
+			t.Fatalf("%s: engine %+v != reference %+v", name, gotRes, wantRes)
+		}
+		if tc.faults && gotRes.Faults == (faultinject.Counters{}) {
+			t.Fatalf("%s: fault plan injected nothing", name)
 		}
 		for line := 0; line < p.Lines(); line++ {
 			if gotDev.Writes(line) != wantDev.Writes(line) || gotDev.Worn(line) != wantDev.Worn(line) {
@@ -258,9 +281,9 @@ func TestBatchedPerLineStateMatchesPerWrite(t *testing.T) {
 // FuzzEngineCrossValidation is the satellite property test: arbitrary
 // (attack, scheme, leveler, fault-plan, cap) configurations must produce
 // byte-identical Result JSON from the pre-refactor reference loop and the
-// refactored engine. Fault plans route both engines through runGeneral,
-// so the fuzz also pins the hoisted-UserLines fix against the old
-// re-read-every-write behavior.
+// refactored engine. Fault plans and PCD put the engine on its per-write
+// loop, so the fuzz also pins the hoisted user capacity against the
+// reference's re-read-every-write behavior.
 func FuzzEngineCrossValidation(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(1), uint8(4), uint16(0), uint16(0))
 	f.Add(uint64(2), uint8(2), uint8(7), uint8(0), uint16(0), uint16(900))
@@ -300,7 +323,7 @@ func FuzzEngineCrossValidation(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := referenceRunDetailed(build())
+		want, _, err := referenceRunDetailed(build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +382,7 @@ func TestFig7CellBatchedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := referenceRunDetailed(fig7CellConfig(p))
+	want, _, err := referenceRunDetailed(fig7CellConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +392,7 @@ func TestFig7CellBatchedMatchesReference(t *testing.T) {
 }
 
 // BenchmarkFig7CellBatched measures the refactored engine on the Fig7
-// acceptance cell (routes through runBatchedLeveled with the SwapWL
-// devirtualization and the slot→line cache).
+// acceptance cell (the SwapWL inner loop with the slot→line cache).
 func BenchmarkFig7CellBatched(b *testing.B) {
 	p := fig7CellProfile()
 	b.ResetTimer()
@@ -388,7 +410,7 @@ func BenchmarkFig7CellReference(b *testing.B) {
 	p := fig7CellProfile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := referenceRunDetailed(fig7CellConfig(p)); err != nil {
+		if _, _, err := referenceRunDetailed(fig7CellConfig(p)); err != nil {
 			b.Fatal(err)
 		}
 	}

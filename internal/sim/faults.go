@@ -99,11 +99,7 @@ func (e *engine) writeSlotFaulty(u int) bool {
 	}
 
 	if e.dev.Write(line) {
-		e.rebinds++
-		if !e.scheme.OnWearOut(u) {
-			e.failed = true
-			return false
-		}
+		return e.wearOut(u)
 	}
 	return true
 }
@@ -114,9 +110,7 @@ func (e *engine) writeSlotFaulty(u int) bool {
 // the user space past u; the in-flight write then folds modulo the new
 // capacity, mirroring the Stepper's address folding.
 func (e *engine) rebind(u int) (slot, line int) {
-	e.rebinds++
-	if !e.scheme.OnWearOut(u) {
-		e.failed = true
+	if !e.wearOut(u) {
 		return u, 0
 	}
 	if n := e.scheme.UserLines(); u >= n {

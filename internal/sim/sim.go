@@ -4,16 +4,16 @@
 // and the physical device, and measures how many user writes the stack
 // serves before the device fails.
 //
-// The primary engine simulates every write. Because lifetime is reported
+// The engine simulates every write. Because lifetime is reported
 // normalized (user writes / Σ line endurance) it is scale-invariant, so
 // experiments run on scaled-down profiles (tens of thousands of lines,
-// thousands of writes per line) that the per-write engine handles in
-// milliseconds to seconds.
+// thousands of writes per line) that the engine handles in milliseconds
+// to seconds.
 //
-// For the Uniform Address Attack with no wear leveling the package also
-// provides an O(E log N) event-driven fast path (RunUAAFast) that
-// processes only wear-out events; tests cross-validate it against the
-// per-write engine.
+// RunDetailed drives one epoch loop (batch.go) whose inner loop is chosen
+// only from the leveler type and the fault plan; Stepper feeds external
+// write streams through the same one-write step. Tests cross-validate
+// both against an in-test copy of the original per-write loop.
 package sim
 
 import (
@@ -66,8 +66,8 @@ type Config struct {
 
 	// Done, when non-nil, makes the run cancelable: the engine polls the
 	// channel every 1024 user writes and stops early once it is closed,
-	// returning the partial result with Interrupted set. Leave nil for
-	// the uncancelable (and marginally faster) loop.
+	// returning the partial result with Interrupted set. Polling changes
+	// neither the loop that runs nor the result of an uncanceled run.
 	Done <-chan struct{}
 }
 
@@ -137,19 +137,26 @@ func (c Config) validate() error {
 	return nil
 }
 
-// engine wires the device and scheme together; it implements
-// wearlevel.Mover so relocation traffic flows through the same wear-out
-// handling as user traffic.
+// engine is the simulated stack below the attack: device, optional
+// leveler and spare scheme. It implements wearlevel.Mover so relocation
+// traffic flows through the same wear-out handling as user traffic.
 type engine struct {
 	dev    *device.Device
+	core   *device.Core
 	scheme spare.Scheme
+	lev    wearlevel.Leveler
 	failed bool
 
-	// rebinds counts OnWearOut invocations made through the engine. Loops
-	// that hoist scheme state which is only invalidated by a replacement
-	// (user capacity, slot→line bindings) compare it against a snapshot to
-	// refresh exactly across wear-outs instead of per write.
-	rebinds int64
+	// lines is the logical address space writes draw from: the leveler's
+	// (fixed for the run) or, unleveled, the scheme's user capacity, which
+	// changes only inside OnWearOut (PCD's shrink) where wearOut refreshes
+	// it.
+	lines int
+	// slotLine caches scheme.Access for every user slot. Bindings change
+	// only inside OnWearOut, and only for the worn slot, so wearOut keeps
+	// the cache exact. It is nil when a fault plan is armed: metadata
+	// faults rewrite bindings behind the scheme's back.
+	slotLine []int32
 
 	// Fault layer (nil faults = the exact pre-fault write path; see
 	// faults.go).
@@ -160,15 +167,25 @@ type engine struct {
 
 var _ wearlevel.Mover = (*engine)(nil)
 
-// newEngine assembles the write engine, arming the fault layer only when
-// the config carries an enabled plan.
-func newEngine(cfg Config, dev *device.Device) *engine {
-	e := &engine{dev: dev, scheme: cfg.Scheme}
+// newEngine assembles a fresh stack for cfg, arming the fault layer only
+// when the config carries an enabled plan.
+func newEngine(cfg Config) *engine {
+	dev := device.New(cfg.Profile)
+	e := &engine{dev: dev, core: dev.Core(), scheme: cfg.Scheme, lev: cfg.Leveler}
+	e.lines = cfg.Scheme.UserLines()
+	if cfg.Leveler != nil {
+		e.lines = cfg.Leveler.LogicalLines()
+	}
 	if cfg.Faults.Enabled() {
 		e.faults = cfg.Faults
 		e.retry = cfg.Retry
 		if e.retry == (faultinject.RetryPolicy{}) {
 			e.retry = faultinject.DefaultRetryPolicy()
+		}
+	} else {
+		e.slotLine = make([]int32, cfg.Scheme.UserLines())
+		for u := range e.slotLine {
+			e.slotLine[u] = int32(cfg.Scheme.Access(u))
 		}
 	}
 	return e
@@ -181,15 +198,45 @@ func (e *engine) WriteSlot(u int) bool {
 	if e.faults != nil {
 		return e.writeSlotFaulty(u)
 	}
-	line := e.scheme.Access(u)
-	if e.dev.Write(line) {
-		e.rebinds++
-		if !e.scheme.OnWearOut(u) {
-			e.failed = true
-			return false
-		}
+	if e.core.Write(int(e.slotLine[u])) {
+		return e.wearOut(u)
 	}
 	return true
+}
+
+// wearOut runs the replacement procedure for slot u, whose backing line
+// has just been marked worn, and refreshes the hoisted scheme state.
+// Returns false on device failure (e.failed is set).
+func (e *engine) wearOut(u int) bool {
+	if !e.scheme.OnWearOut(u) {
+		e.failed = true
+		return false
+	}
+	n := e.scheme.UserLines()
+	if e.lev == nil {
+		e.lines = n
+	}
+	// Under PCD the worn slot can be the last one: the shrink drops it
+	// and no binding is left to refresh (Access(u) would panic).
+	if e.slotLine != nil && u < n {
+		e.slotLine[u] = int32(e.scheme.Access(u))
+	}
+	return true
+}
+
+// step performs one user write to logical line lla in [0, e.lines):
+// translation, the physical write, and the leveler's remap scheduling.
+// It returns false once the device has failed. The write that exhausts a
+// line's budget still completes (the replacement procedure runs
+// afterwards), so callers count it as served even when step fails.
+func (e *engine) step(lla int) bool {
+	if e.lev == nil {
+		return e.WriteSlot(lla)
+	}
+	if !e.WriteSlot(e.lev.Translate(lla)) {
+		return false
+	}
+	return e.lev.OnWrite(lla, e)
 }
 
 // Run executes the configured simulation until device failure or the
@@ -205,303 +252,24 @@ func RunDetailed(cfg Config) (Result, *device.Device, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, nil, err
 	}
-	dev := device.New(cfg.Profile)
-	e := newEngine(cfg, dev)
-
-	var userWrites int64
-	var interrupted bool
-	switch {
-	case cfg.Faults.Enabled():
-		// Metadata faults can corrupt slot→line bindings behind the
-		// scheme's back, so fault runs stay on the uncached general loop.
-		userWrites, interrupted = runGeneral(cfg, e)
-	case cfg.Leveler == nil:
-		_, pcd := cfg.Scheme.(*spare.PCDScheme)
-		ca, cyclic := cfg.Attack.(attack.CyclicAttack)
-		ba, batch := cfg.Attack.(attack.BatchAttack)
-		switch {
-		case cyclic && cfg.Done == nil:
-			// Periodic state-neutral streams: skip whole quiescent periods
-			// analytically (fastforward.go). Handles PCD's shrinking space
-			// by re-deriving the cycle after every wear-out. Excluded when
-			// Done is set so the 1024-write cancellation polls land at the
-			// exact same write indexes as the per-write loops.
-			userWrites, interrupted = runCyclic(cfg, dev, e, ca)
-		case batch && !pcd:
-			// Capacity-stable schemes: epoch-batched struct-of-arrays loop
-			// with cached bindings and amortized wear-out checks (batch.go).
-			userWrites, interrupted = runBatchedDirect(cfg, dev, e, ba)
-		default:
-			userWrites, interrupted = runDirect(cfg, dev, e)
-		}
-	default:
-		if ba, ok := cfg.Attack.(attack.BatchAttack); ok {
-			userWrites, interrupted = runBatchedLeveled(cfg, dev, e, ba)
-		} else {
-			userWrites, interrupted = runGeneral(cfg, e)
-		}
-	}
-	return buildResult(cfg, dev, userWrites, e, interrupted), dev, nil
+	e := newEngine(cfg)
+	userWrites, interrupted := runBatched(cfg, e)
+	return buildResult(cfg, e, userWrites, interrupted), e.dev, nil
 }
 
-// runDirect is the no-leveler, no-fault inner loop — the hot path of every
-// unleveled sweep. The per-write engine indirection is removed: the scheme
-// lookup, device write and wear-out hook run inline, and the user capacity
-// is hoisted into a local. Capacity is loop-invariant except across a
-// wear-out (only PCD shrinks, and only inside OnWearOut), so it is
-// refreshed exactly there instead of being an interface call per write.
-func runDirect(cfg Config, dev *device.Device, e *engine) (userWrites int64, interrupted bool) {
-	scheme := e.scheme
-	att := cfg.Attack
-	maxWrites := cfg.MaxUserWrites
-	done := cfg.Done
-	userLines := scheme.UserLines()
-	for {
-		if maxWrites > 0 && userWrites >= maxWrites {
-			return userWrites, false
-		}
-		if done != nil && userWrites&1023 == 0 {
-			select {
-			case <-done:
-				return userWrites, true
-			default:
-			}
-		}
-		if userLines == 0 {
-			e.failed = true
-			return userWrites, false
-		}
-		// The write that exhausts a line's budget still completes (the
-		// replacement procedure runs afterwards), so it counts as served
-		// even when the device fails to recover from it.
-		u := att.Next(userLines)
-		userWrites++
-		if dev.Write(scheme.Access(u)) {
-			if !scheme.OnWearOut(u) {
-				e.failed = true
-				return userWrites, false
-			}
-			userLines = scheme.UserLines()
-		}
-	}
-}
-
-// runGeneral handles the leveled and fault-injecting configurations, where
-// writes must flow through engine.WriteSlot (and relocation traffic through
-// the Mover interface). The logical address space never changes size, so it
-// is hoisted out of the loop. The unleveled user capacity is also hoisted:
-// as in runDirect, it can only change inside a wear-out replacement (PCD's
-// shrink, or a fault-path rebind), so it is refreshed exactly when the
-// engine's rebind counter moves instead of being two interface calls per
-// write.
-func runGeneral(cfg Config, e *engine) (userWrites int64, interrupted bool) {
-	logicalLines := 0
-	if cfg.Leveler != nil {
-		logicalLines = cfg.Leveler.LogicalLines()
-	}
-	userLines := cfg.Scheme.UserLines()
-	rebinds := e.rebinds
-	for {
-		if cfg.MaxUserWrites > 0 && userWrites >= cfg.MaxUserWrites {
-			return userWrites, false
-		}
-		if cfg.Done != nil && userWrites&1023 == 0 {
-			select {
-			case <-cfg.Done:
-				return userWrites, true
-			default:
-			}
-		}
-		// See runDirect: the exhausting write still counts as served.
-		if cfg.Leveler == nil {
-			if userLines == 0 {
-				e.failed = true
-				return userWrites, false
-			}
-			u := cfg.Attack.Next(userLines)
-			ok := e.WriteSlot(u)
-			userWrites++
-			if !ok {
-				return userWrites, false
-			}
-			if e.rebinds != rebinds {
-				rebinds = e.rebinds
-				userLines = cfg.Scheme.UserLines()
-			}
-			continue
-		}
-		lla := cfg.Attack.Next(logicalLines)
-		u := cfg.Leveler.Translate(lla)
-		ok := e.WriteSlot(u)
-		userWrites++
-		if !ok {
-			return userWrites, false
-		}
-		if !cfg.Leveler.OnWrite(lla, e) {
-			return userWrites, false
-		}
-	}
-}
-
-func buildResult(cfg Config, dev *device.Device, userWrites int64, e *engine, interrupted bool) Result {
+func buildResult(cfg Config, e *engine, userWrites int64, interrupted bool) Result {
 	r := Result{
 		UserWrites:         userWrites,
-		DeviceWrites:       dev.TotalWrites(),
+		DeviceWrites:       e.dev.TotalWrites(),
 		NormalizedLifetime: float64(userWrites) / cfg.Profile.Sum(),
-		WornLines:          dev.WornCount(),
+		WornLines:          e.dev.WornCount(),
 		SparesUsed:         cfg.Scheme.SpareLinesUsed(),
 		Failed:             e.failed,
 		Interrupted:        interrupted,
 		Faults:             e.ctr,
 	}
 	if userWrites > 0 {
-		r.WriteAmplification = float64(dev.TotalWrites()) / float64(userWrites)
+		r.WriteAmplification = float64(e.dev.TotalWrites()) / float64(userWrites)
 	}
 	return r
-}
-
-// ---------------------------------------------------------------------------
-// Event-driven fast path for UAA
-
-// slotEvent is a pending wear-out: the line backing a slot dies at the end
-// of round deathRound (rounds are full UAA sweeps over the user space).
-type slotEvent struct {
-	deathRound int64
-	line       int
-}
-
-// eventHeap is a hand-rolled binary min-heap of slotEvents keyed on
-// deathRound, replacing the earlier container/heap implementation whose
-// Push/Pop boxed every event in an interface{} allocation. The sift-up and
-// sift-down loops mirror container/heap's algorithm exactly — including
-// which of two equal-keyed events pops first, an order the schemes' state
-// (and therefore Result) depends on.
-type eventHeap []slotEvent
-
-func (h *eventHeap) push(ev slotEvent) {
-	s := append(*h, ev)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if s[i].deathRound <= s[j].deathRound {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() slotEvent {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s[j2].deathRound < s[j].deathRound {
-			j = j2
-		}
-		if s[i].deathRound <= s[j].deathRound {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	ev := s[n]
-	*h = s[:n]
-	return ev
-}
-
-// RunUAAFast computes the UAA lifetime (no wear leveling) by processing
-// wear-out events instead of individual writes: under UAA every in-service
-// line receives exactly one write per round, so the line backing a slot
-// dies a fixed number of rounds after it enters service. The result's
-// UserWrites counts whole rounds (each round = current user capacity
-// writes), which differs from the per-write engine by less than one round.
-//
-// The scheme must be freshly constructed; it is consumed by the run.
-func RunUAAFast(p *endurance.Profile, scheme spare.Scheme) (Result, error) {
-	if p == nil {
-		return Result{}, errNilProfile
-	}
-	if scheme == nil {
-		return Result{}, errNilScheme
-	}
-
-	// Dense slices replace the earlier map-based reverse maps: line ids are
-	// bounded by the profile, so lineSlot[line] (-1 = out of service) and
-	// worn[line] give allocation-free O(1) lookups in the event loop.
-	userLines := scheme.UserLines()
-	_, isPCD := scheme.(*spare.PCDScheme)
-	h := make(eventHeap, 0, userLines+1)
-	lineSlot := make([]int, p.Lines())
-	for i := range lineSlot {
-		lineSlot[i] = -1
-	}
-	worn := make([]bool, p.Lines())
-	for u := 0; u < userLines; u++ {
-		line := scheme.Access(u)
-		lineSlot[line] = u
-		h.push(slotEvent{deathRound: p.LineEndurance(line), line: line})
-	}
-
-	var userWrites int64
-	var lastRound int64
-	failed := false
-	wornLines := 0
-	for len(h) > 0 {
-		ev := h.pop()
-		if worn[ev.line] {
-			continue
-		}
-		u := lineSlot[ev.line]
-		if u < 0 { // not in service
-			continue
-		}
-		// Advance time: every round writes every in-service line once.
-		userWrites += (ev.deathRound - lastRound) * int64(userLines)
-		lastRound = ev.deathRound
-		worn[ev.line] = true
-		wornLines++
-		lineSlot[ev.line] = -1
-
-		if !scheme.OnWearOut(u) {
-			failed = true
-			break
-		}
-		if isPCD {
-			// PCD moved the former last slot's line into u and shrank; the
-			// reverse map entry for that line must follow it. When u itself
-			// was the last slot it simply fell off the end of the shrunk
-			// space and no binding moved.
-			userLines = scheme.UserLines()
-			if u < userLines {
-				lineSlot[scheme.Access(u)] = u
-			}
-			// Bindings of the other surviving slots are untouched, so no
-			// further reverse-map maintenance is needed.
-			continue
-		}
-		newLine := scheme.Access(u)
-		lineSlot[newLine] = u
-		h.push(slotEvent{
-			deathRound: lastRound + p.LineEndurance(newLine),
-			line:       newLine,
-		})
-	}
-
-	res := Result{
-		UserWrites:         userWrites,
-		DeviceWrites:       userWrites,
-		NormalizedLifetime: float64(userWrites) / p.Sum(),
-		WriteAmplification: 1,
-		WornLines:          wornLines,
-		SparesUsed:         scheme.SpareLinesUsed(),
-		Failed:             failed,
-	}
-	return res, nil
 }

@@ -13,7 +13,6 @@ import "maxwe/internal/device"
 // writes, so external drivers cannot overrun truncated experiments.
 type Stepper struct {
 	cfg        Config
-	dev        *device.Device
 	e          *engine
 	userWrites int64
 }
@@ -29,12 +28,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if err := check.validate(); err != nil {
 		return nil, err
 	}
-	dev := device.New(cfg.Profile)
-	return &Stepper{
-		cfg: cfg,
-		dev: dev,
-		e:   newEngine(cfg, dev),
-	}, nil
+	return &Stepper{cfg: cfg, e: newEngine(cfg)}, nil
 }
 
 type nopAttack struct{}
@@ -44,21 +38,17 @@ func (nopAttack) Next(n int) int { return 0 }
 
 // LogicalLines returns the current size of the logical address space the
 // caller should draw addresses from (it shrinks under PCD).
-func (s *Stepper) LogicalLines() int {
-	if s.cfg.Leveler != nil {
-		return s.cfg.Leveler.LogicalLines()
-	}
-	return s.cfg.Scheme.UserLines()
-}
+func (s *Stepper) LogicalLines() int { return s.e.lines }
 
 // Failed reports whether the device has failed; further writes are
 // rejected.
 func (s *Stepper) Failed() bool { return s.e.failed }
 
-// Write performs one user write to logical line lla. It returns false
-// once the device has failed (including when this very write triggered
-// the unrecoverable wear-out — the write itself still counted, matching
-// Run's accounting) or once Config.MaxUserWrites writes have been served.
+// Write performs one user write to logical line lla, folded into the
+// current logical space. It returns false once the device has failed
+// (including when this very write triggered the unrecoverable wear-out —
+// the write itself still counted, matching Run's accounting) or once
+// Config.MaxUserWrites writes have been served.
 func (s *Stepper) Write(lla int) bool {
 	if s.e.failed {
 		return false
@@ -66,30 +56,18 @@ func (s *Stepper) Write(lla int) bool {
 	if s.cfg.MaxUserWrites > 0 && s.userWrites >= s.cfg.MaxUserWrites {
 		return false
 	}
-	if s.cfg.Leveler == nil {
-		n := s.cfg.Scheme.UserLines()
-		if n == 0 {
-			s.e.failed = true
-			return false
-		}
-		ok := s.e.WriteSlot(lla % n)
-		s.userWrites++
-		return ok
-	}
-	lla %= s.cfg.Leveler.LogicalLines()
-	u := s.cfg.Leveler.Translate(lla)
-	ok := s.e.WriteSlot(u)
-	s.userWrites++
-	if !ok {
+	if s.e.lines == 0 {
+		s.e.failed = true
 		return false
 	}
-	return s.cfg.Leveler.OnWrite(lla, s.e)
+	s.userWrites++
+	return s.e.step(lla % s.e.lines)
 }
 
 // Result summarizes the writes served so far (callable at any point).
 func (s *Stepper) Result() Result {
-	return buildResult(s.cfg, s.dev, s.userWrites, s.e, false)
+	return buildResult(s.cfg, s.e, s.userWrites, false)
 }
 
 // Device exposes the underlying device for wear inspection.
-func (s *Stepper) Device() *device.Device { return s.dev }
+func (s *Stepper) Device() *device.Device { return s.e.dev }
